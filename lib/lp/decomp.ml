@@ -404,6 +404,18 @@ let try_dw ?max_iter ?feas_tol ?opt_tol ~rhs ?analysis ?bands
       bbases.(k) <- r.Revised.basis;
       r
     in
+    (* Pricing fan-out: one task per contiguous chunk of blocks, one
+       chunk per domain of the pool.  A single pricing solve is far too
+       small to pay for a task of its own.  Each block keeps its own warm
+       basis, so the chunking never changes a result, and chunks are
+       concatenated in block order. *)
+    let price_round (y : float array) =
+      let chunks = min nb (Putil.Pool.parallelism pool) in
+      List.init chunks (fun c -> (c * nb / chunks, (c + 1) * nb / chunks))
+      |> Putil.Pool.parallel_map pool (fun (lo, hi) ->
+             Array.init (hi - lo) (fun i -> price_block (lo + i) y))
+      |> Array.concat
+    in
     let aggregate k (x : float array) : (int * float) list =
       let nm = Array.length sp.mrows in
       let acc = Array.make nm 0.0 and touched = ref [] in
@@ -501,14 +513,8 @@ let try_dw ?max_iter ?feas_tol ?opt_tol ~rhs ?analysis ?bands
           for j = n_shared to n_fixed - 1 do
             art_mass := !art_mass +. mr.Revised.x.(j)
           done;
-          (* pricing fan-out; merged in block order for determinism *)
           let y = mr.Revised.y in
-          let round yv =
-            Array.init nb (fun k ->
-                Putil.Pool.submit pool (fun () -> price_block k yv))
-            |> Array.map Putil.Pool.await
-          in
-          let prices = round y in
+          let prices = price_round y in
           if
             Array.exists
               (fun r -> r.Revised.status <> Revised.Optimal)
@@ -715,11 +721,7 @@ let try_dw ?max_iter ?feas_tol ?opt_tol ~rhs ?analysis ?bands
     (* Seed: one proposal per component, priced against the epsilon
        duals, so the first master starts from proposals that already
        pull toward satisfying the coupling rows. *)
-    let seeds =
-      Array.init nb (fun k ->
-          Putil.Pool.submit pool (fun () -> price_block k y0))
-      |> Array.map Putil.Pool.await
-    in
+    let seeds = price_round y0 in
     if
       Array.exists (fun r -> r.Revised.status <> Revised.Optimal) seeds
     then begin

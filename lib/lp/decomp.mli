@@ -6,10 +6,12 @@
     shared vertices, the deadline row.  {!solve} exploits that
     structure by column generation — a restricted master over the
     coupling rows plus one convexity row per block, and one small
-    pricing LP per block, solved concurrently on {!Putil.Pool} with
-    per-block warm bases (structure never changes, only objectives).
-    Proposals are merged in block order regardless of completion order,
-    so iterates are identical at every [POWERLIM_JOBS].
+    pricing LP per block, solved concurrently on {!Putil.Pool} — one
+    task per contiguous chunk of blocks, as many chunks as the pool has
+    domains — with per-block warm bases (structure never changes, only
+    objectives).  Proposals are merged in block order regardless of
+    completion order, so iterates are identical at every
+    [POWERLIM_JOBS].
 
     On convergence the aggregated point is crossed over to a monolithic
     basis and certified by one warm {!Revised.solve} of the original

@@ -82,7 +82,7 @@ let solve ?pool ?(max_nodes = 100_000) ?(int_tol = 1e-6) ?(gap = 1e-9)
      the whole search -- is identical to the sequential mode. *)
   let solve_children kids =
     match pool with
-    | Some pl when Putil.Pool.size pl > 1 ->
+    | Some pl when Putil.Pool.parallelism pl > 1 ->
         Putil.Pool.parallel_map pl (fun c -> (c, solve_node c)) kids
     | _ -> List.map (fun c -> (c, solve_node c)) kids
   in

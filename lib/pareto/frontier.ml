@@ -23,14 +23,53 @@ let enumerate ?(params = Machine.Socket.default_params) socket profile =
   done;
   Array.of_list !pts
 
+(* [survivors pts] marks the points no other point dominates, in one
+   sweep over the points sorted by (power, duration): a point is
+   dominated exactly when a point of strictly lower power is at least as
+   fast, or a point of equal power is strictly faster.  Equal points
+   never dominate each other, and a point with a NaN coordinate neither
+   dominates nor is dominated ([Point.dominates] compares false), so it
+   survives. *)
+let survivors (pts : Point.t array) =
+  let alive = Array.make (Array.length pts) true in
+  let order =
+    List.init (Array.length pts) Fun.id
+    |> List.filter (fun i ->
+           not
+             (Float.is_nan pts.(i).Point.power
+             || Float.is_nan pts.(i).Point.duration))
+    |> List.sort (fun i j ->
+           let a = pts.(i) and b = pts.(j) in
+           match Float.compare a.Point.power b.Point.power with
+           | 0 -> Float.compare a.Point.duration b.Point.duration
+           | c -> c)
+  in
+  (* fastest duration at strictly lower power ([None]: no such point),
+     fastest so far, and fastest at the current power *)
+  let below = ref None and seen = ref None in
+  let power_now = ref Float.nan and fastest_now = ref Float.nan in
+  List.iter
+    (fun i ->
+      let { Point.power; duration; _ } = pts.(i) in
+      if not (power = !power_now) then begin
+        below := !seen;
+        power_now := power;
+        fastest_now := duration
+      end;
+      let beaten_below =
+        match !below with Some b -> b <= duration | None -> false
+      in
+      if beaten_below || !fastest_now < duration then alive.(i) <- false;
+      seen :=
+        Some (match !seen with Some s -> Float.min s duration | None -> duration))
+    order;
+  alive
+
 (** Non-dominated subset (time/power Pareto frontier, not necessarily
     convex). *)
 let pareto (pts : Point.t array) : Point.t array =
-  let keep =
-    Array.to_list pts
-    |> List.filter (fun p ->
-           not (Array.exists (fun q -> q != p && Point.dominates q p) pts))
-  in
+  let alive = survivors pts in
+  let keep = List.filteri (fun i _ -> alive.(i)) (Array.to_list pts) in
   (* Deduplicate identical (duration, power) pairs. *)
   let sorted =
     List.sort

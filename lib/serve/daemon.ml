@@ -64,7 +64,8 @@ type t = {
   counters : counters;
   mutable accept_thread : Thread.t option;
   conn_threads : Thread.t list ref;
-  conn_mutex : Mutex.t;
+  open_fds : Unix.file_descr list ref;  (** connections not yet closed *)
+  conn_mutex : Mutex.t;  (** guards [conn_threads] and [open_fds] *)
 }
 
 let stats_payload t =
@@ -116,7 +117,7 @@ let compute op =
 
 (* Run one solving op through cache + store + pool, reporting where the
    bytes came from.  The pool does the actual solve: concurrent requests
-   from any number of connections batch across the worker domains, and
+   from any number of connections batch across the pool's domains, and
    equal in-flight requests collapse to one solve (single-flight). *)
 let solve t op =
   match Protocol.request_key op with
@@ -145,6 +146,28 @@ let solve t op =
             Protocol.None_
       in
       (v, prov)
+
+(* ---- stopping ------------------------------------------------------ *)
+
+let shutdown_receive fd =
+  try Unix.shutdown fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ()
+
+(* Idempotent.  Closing the listen socket pops the accept loop out of
+   [accept]; shutting down the receive side of every open connection pops
+   its reader out of [input_line], so [wait] cannot hang on a client that
+   keeps its connection open.  Responses still in flight go out: only
+   reading stops.  The fds are cut under [conn_mutex], which a
+   connection also holds to drop its fd before closing it, so a closed
+   (and possibly reused) descriptor is never touched. *)
+let begin_stop t =
+  if not (Atomic.exchange t.stopping true) then begin
+    (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL
+     with Unix.Unix_error _ -> ());
+    (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+    Mutex.lock t.conn_mutex;
+    List.iter shutdown_receive !(t.open_fds);
+    Mutex.unlock t.conn_mutex
+  end
 
 (* ---- connection handling ------------------------------------------- *)
 
@@ -176,10 +199,7 @@ let handle_request t ~wmutex oc (req : Protocol.request) =
                 ("id", Putil.Obs.Int req.Protocol.id);
                 ("ok", Putil.Obs.Bool true);
               ]));
-      Atomic.set t.stopping true;
-      (* closing the listen socket pops the accept loop out of [accept] *)
-      (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-      (try Unix.close t.listen_fd with Unix.Unix_error _ -> ())
+      begin_stop t
   | op ->
       let t0 = Unix.gettimeofday () in
       let outcome, cached = solve t op in
@@ -234,6 +254,9 @@ let handle_connection t fd =
    with Sys_error _ | Unix.Unix_error _ -> ());
   List.iter Thread.join !request_threads;
   (try flush oc with Sys_error _ -> ());
+  Mutex.lock t.conn_mutex;
+  t.open_fds := List.filter (fun f -> f <> fd) !(t.open_fds);
+  Mutex.unlock t.conn_mutex;
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* ---- lifecycle ----------------------------------------------------- *)
@@ -303,6 +326,7 @@ let start (cfg : config) =
         };
       accept_thread = None;
       conn_threads = ref [];
+      open_fds = ref [];
       conn_mutex = Mutex.create ();
     }
   in
@@ -310,9 +334,13 @@ let start (cfg : config) =
     let rec loop () =
       match Unix.accept t.listen_fd with
       | fd, _ ->
-          let th = Thread.create (fun () -> handle_connection t fd) () in
           Mutex.lock t.conn_mutex;
-          t.conn_threads := th :: !(t.conn_threads);
+          t.open_fds := fd :: !(t.open_fds);
+          (* accepted while [begin_stop] ran: cut it like the others *)
+          if Atomic.get t.stopping then shutdown_receive fd;
+          t.conn_threads :=
+            Thread.create (fun () -> handle_connection t fd) ()
+            :: !(t.conn_threads);
           Mutex.unlock t.conn_mutex;
           loop ()
       | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL | Unix.ECONNABORTED), _, _)
@@ -341,9 +369,7 @@ let wait t =
   | Tcp _ -> ()
 
 let stop t =
-  Atomic.set t.stopping true;
-  (try Unix.shutdown t.listen_fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
+  begin_stop t;
   wait t
 
 let run cfg = wait (start cfg)

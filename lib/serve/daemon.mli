@@ -7,10 +7,11 @@
     streams responses back in completion order (ids match them up).
 
     Threading: one accept thread, one reader thread per connection, one
-    thread per request.  The solve itself runs on {!Putil.Pool} worker
-    domains, so concurrent requests from any number of clients batch
-    across one fixed pool, and identical in-flight requests collapse to
-    a single solve (single-flight).
+    thread per request.  The solve itself runs through {!Putil.Pool}:
+    on a worker domain, or on the request's own thread while it awaits,
+    so concurrent requests from any number of clients batch across one
+    fixed pool, and identical in-flight requests collapse to a single
+    solve (single-flight).
 
     Persistence: with a store attached, computed responses are written
     through to disk immediately (crash-safe, digest-framed), and the
@@ -44,7 +45,10 @@ val address : t -> address
 
 val wait : t -> unit
 (** Block until the daemon stops (a [shutdown] request or {!stop}),
-    then join every connection thread and remove a Unix socket file. *)
+    then join every connection thread and remove a Unix socket file.
+    Stopping shuts down the receive side of every open connection, so a
+    client that keeps its connection open cannot hold [wait] up; answers
+    to requests already read are still sent. *)
 
 val stop : t -> unit
 (** Stop accepting, close the listen socket and {!wait}. *)

@@ -1,8 +1,10 @@
-(** Fixed-size domain pool with per-worker work-stealing deques.  See
-    pool.mli for the design contract.  Synchronization is deliberately
-    coarse (a mutex per deque, a mutex+condition for the idle set): the
-    tasks this pool runs are whole LP solves and simulations, so queue
-    operations are nowhere near the critical path. *)
+(** Fixed-size domain pool with per-worker work-stealing deques, where
+    the domain that waits runs tasks too.  See pool.mli for the design
+    contract.  Synchronization is deliberately coarse (a mutex per deque,
+    one pool mutex with a condition for idle workers and one for waiting
+    callers): the tasks this pool runs are whole LP solves, simulations
+    and chunks of pricing solves, so queue operations are nowhere near
+    the critical path. *)
 
 type task = unit -> unit
 
@@ -98,34 +100,36 @@ let () =
 
 type 'a state = Pending | Done of 'a | Failed of exn * Printexc.raw_backtrace
 
-type 'a future = {
-  fstate : 'a state Atomic.t;
-  flock : Mutex.t;
-  fcond : Condition.t;  (* signalled on completion, for foreign waiters *)
-}
-
 type t = {
-  workers : int;  (* worker domain count; 0 = sequential *)
+  workers : int;  (* spawned worker domains; 0 = sequential *)
   deques : Deque.t array;  (* one per worker *)
-  injector : Deque.t;  (* submissions from outside the pool *)
+  injector : Deque.t;  (* submissions from outside the workers *)
   plock : Mutex.t;
-  work_available : Condition.t;
+  work_available : Condition.t;  (* signalled on enqueue: idle workers *)
+  progress : Condition.t;
+      (* signalled on enqueue and on completion: waiting callers *)
   mutable pending : int;  (* tasks enqueued and not yet picked up *)
   mutable stop : bool;
   mutable domains : unit Domain.t array;
 }
 
+type 'a future = { fstate : 'a state Atomic.t; owner : t }
+
 (* Identifies the pool and worker index of the current domain, so that
-   [submit] can target the worker's own deque and [await] can help. *)
+   [submit] can target the worker's own deque and [await] can help from
+   it. *)
 let ctx_key : (t * int) option Domain.DLS.key =
   Domain.DLS.new_key (fun () -> None)
 
+(* A negative count clamps to sequential rather than falling back to the
+   machine default: [POWERLIM_JOBS=-1] asks for less parallelism, not
+   more. *)
 let default_size () =
-  Env.int ~lo:0 "POWERLIM_JOBS"
-    ~default:(max 0 (Domain.recommended_domain_count () - 1))
+  max 0
+    (Env.int "POWERLIM_JOBS" ~default:(Domain.recommended_domain_count ()))
 
 let size pool = pool.workers
-let parallelism pool = max 1 pool.workers
+let parallelism pool = pool.workers + 1
 
 (* ---- queue plumbing ---------------------------------------------- *)
 
@@ -134,6 +138,7 @@ let enqueue pool dq task =
   pool.pending <- pool.pending + 1;
   Deque.push_bottom dq task;
   Condition.broadcast pool.work_available;
+  Condition.broadcast pool.progress;
   Mutex.unlock pool.plock
 
 let took pool =
@@ -142,7 +147,9 @@ let took pool =
   Mutex.unlock pool.plock
 
 (* Own deque bottom first, then the injector, then steal round-robin
-   from the other workers. *)
+   from the other workers.  A caller that is not one of the pool's
+   workers passes [wid = -1]: it has no deque of its own and steals
+   from every worker. *)
 let find_task pool wid =
   let own =
     if wid >= 0 then Deque.pop_bottom pool.deques.(wid) else None
@@ -185,7 +192,7 @@ let rec worker_loop pool wid =
     Mutex.lock pool.plock;
     if pool.stop && pool.pending = 0 then Mutex.unlock pool.plock
     else if pool.pending > 0 then begin
-      (* a task exists but another worker may be racing us to it *)
+      (* a task exists but another domain may be racing us to it *)
       Mutex.unlock pool.plock;
       Domain.cpu_relax ();
       worker_loop pool wid
@@ -199,11 +206,20 @@ let rec worker_loop pool wid =
 
 (* ---- futures ------------------------------------------------------ *)
 
+let is_pending fut =
+  match Atomic.get fut.fstate with Pending -> true | Done _ | Failed _ -> false
+
+(* The state is published before the broadcast, under the pool lock that
+   waiters check it under, so a waiter cannot miss its completion.  A
+   sequential pool runs every task inside [submit]: nobody ever waits. *)
 let fulfill fut st =
   Atomic.set fut.fstate st;
-  Mutex.lock fut.flock;
-  Condition.broadcast fut.fcond;
-  Mutex.unlock fut.flock
+  let pool = fut.owner in
+  if pool.workers > 0 then begin
+    Mutex.lock pool.plock;
+    Condition.broadcast pool.progress;
+    Mutex.unlock pool.plock
+  end
 
 (* The span must close before [fulfill] publishes the result: a waiter
    that observes the future done may export the trace immediately, and
@@ -216,15 +232,8 @@ let run_into fut f =
       let bt = Printexc.get_raw_backtrace () in
       fulfill fut (Failed (e, bt))
 
-let make_future () =
-  {
-    fstate = Atomic.make Pending;
-    flock = Mutex.create ();
-    fcond = Condition.create ();
-  }
-
 let submit pool f =
-  let fut = make_future () in
+  let fut = { fstate = Atomic.make Pending; owner = pool } in
   Atomic.incr n_submitted;
   if pool.workers = 0 then begin
     Atomic.incr n_run;
@@ -246,49 +255,39 @@ let unwrap = function
   | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
   | Pending -> assert false
 
+(* Every waiter helps: a worker and the calling domain alike keep running
+   queued tasks while the future is pending, so the caller is one of the
+   pool's [parallelism] domains and nested submit/await cannot starve
+   the fixed worker set.  A waiter blocks only once nothing is queued
+   anywhere -- every pending task is then running on some domain, and it
+   either completes or enqueues nested work, both of which signal
+   [progress]. *)
 let await fut =
   match Atomic.get fut.fstate with
   | (Done _ | Failed _) as s -> unwrap s
-  | Pending -> (
-      match Domain.DLS.get ctx_key with
-      | Some (pool, wid) ->
-          (* worker: keep the pool busy while we wait, so nested
-             submit/await cannot starve a fixed-size pool.  Only block
-             once no task is queued anywhere -- every pending task is
-             then running on some domain and progress is guaranteed. *)
-          let rec help () =
-            match Atomic.get fut.fstate with
-            | (Done _ | Failed _) as s -> unwrap s
-            | Pending ->
-                if try_run_one pool wid then help ()
-                else begin
-                  Mutex.lock pool.plock;
-                  let queued = pool.pending > 0 in
-                  Mutex.unlock pool.plock;
-                  if queued then Domain.cpu_relax ()
-                  else begin
-                    Mutex.lock fut.flock;
-                    (match Atomic.get fut.fstate with
-                    | Pending -> Condition.wait fut.fcond fut.flock
-                    | Done _ | Failed _ -> ());
-                    Mutex.unlock fut.flock
-                  end;
-                  help ()
-                end
-          in
-          help ()
-      | None ->
-          Mutex.lock fut.flock;
-          let rec wait () =
-            match Atomic.get fut.fstate with
-            | Pending ->
-                Condition.wait fut.fcond fut.flock;
-                wait ()
-            | s -> s
-          in
-          let s = wait () in
-          Mutex.unlock fut.flock;
-          unwrap s)
+  | Pending ->
+      let pool = fut.owner in
+      let wid =
+        match Domain.DLS.get ctx_key with
+        | Some (p, wid) when p == pool -> wid
+        | _ -> -1
+      in
+      let rec help () =
+        match Atomic.get fut.fstate with
+        | (Done _ | Failed _) as s -> unwrap s
+        | Pending ->
+            if not (try_run_one pool wid) then begin
+              Mutex.lock pool.plock;
+              let queued = pool.pending > 0 in
+              if (not queued) && is_pending fut then
+                Condition.wait pool.progress pool.plock;
+              Mutex.unlock pool.plock;
+              (* a task exists but another domain may be racing us to it *)
+              if queued then Domain.cpu_relax ()
+            end;
+            help ()
+      in
+      help ()
 
 let parallel_map pool f xs =
   let futs = List.map (fun x -> submit pool (fun () -> f x)) xs in
@@ -297,8 +296,9 @@ let parallel_map pool f xs =
 (* ---- lifecycle ---------------------------------------------------- *)
 
 let create ?size () =
-  let requested = match size with Some s -> max 0 s | None -> default_size () in
-  let workers = if requested <= 1 then 0 else requested in
+  let requested = match size with Some s -> s | None -> default_size () in
+  (* the domain that awaits is the last of the [requested] *)
+  let workers = max 0 (requested - 1) in
   let pool =
     {
       workers;
@@ -306,6 +306,7 @@ let create ?size () =
       injector = Deque.create ();
       plock = Mutex.create ();
       work_available = Condition.create ();
+      progress = Condition.create ();
       pending = 0;
       stop = false;
       domains = [||];

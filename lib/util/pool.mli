@@ -1,47 +1,57 @@
-(** A fixed-size pool of worker domains with per-worker work-stealing
-    deques, shared by every parallel stage of the system (the experiment
-    sweeps, the MILP branch-and-bound, the benchmark harness).
+(** A fixed-size pool of domains with per-worker work-stealing deques,
+    shared by every parallel stage of the system (the experiment sweeps,
+    the MILP branch-and-bound, the Dantzig–Wolfe pricing rounds, the
+    solving daemon, the benchmark harness).
 
     Design notes:
 
-    - The pool owns [size] worker domains.  Tasks submitted from outside
-      the pool land in a shared injector queue; tasks submitted from a
-      worker (nested submission) are pushed onto that worker's own deque
-      and are executed LIFO by the owner, while idle workers steal FIFO
-      from the other end — the classic work-stealing discipline that
-      keeps nested fork/join jobs cache-local.
-    - [await] called from a worker {e helps}: while its future is
-      pending it keeps executing other queued tasks, so nested
-      submit/await never deadlocks a fixed-size pool.
-    - A pool of size [<= 1] degrades to sequential execution in the
-      calling domain: [submit] runs the closure immediately.  All public
-      entry points therefore behave identically (including exception
-      behaviour and result ordering) at any pool size, which is what
-      makes the POWERLIM_JOBS=1 vs =N determinism guarantee testable.
+    - A pool of size N gives N-way parallelism: it spawns N−1 worker
+      domains, and the domain that calls [await] (or [parallel_map]) is
+      the N-th.  Whoever awaits {e helps}: while its future is pending
+      it runs queued tasks itself, blocks only when nothing is queued
+      anywhere, and wakes when a task completes or a worker enqueues
+      nested tasks.  So the default pool, sized to every core, leaves no
+      core idle while the main domain waits, and nested submit/await
+      never deadlocks a fixed-size pool.
+    - Tasks submitted from outside the workers land in a shared injector
+      queue; tasks submitted from a worker (nested submission) are
+      pushed onto that worker's own deque and are executed LIFO by the
+      owner, while other domains steal FIFO from the other end — the
+      classic work-stealing discipline that keeps nested fork/join jobs
+      cache-local.
+    - A pool of size [<= 1] spawns no domain and degrades to sequential
+      execution in the calling domain: [submit] runs the closure
+      immediately.  All public entry points therefore behave identically
+      (including exception behaviour and result ordering) at any pool
+      size, which is what makes the POWERLIM_JOBS=1 vs =N determinism
+      guarantee testable.
     - Exceptions raised by a task are captured with their backtrace and
       re-raised at [await]. *)
 
 type t
-(** A pool of worker domains (possibly zero of them: sequential). *)
+(** A pool of worker domains (possibly zero of them: sequential) plus
+    whichever domain waits on it. *)
 
 type 'a future
 (** The eventual result of a submitted task. *)
 
 val default_size : unit -> int
-(** Pool size chosen by the environment: [POWERLIM_JOBS] if set and
-    parseable (clamped to [>= 0]), otherwise
-    [Domain.recommended_domain_count () - 1]. *)
+(** Degree of parallelism chosen by the environment: [POWERLIM_JOBS] if
+    set and parseable (a negative value clamps to [0], sequential),
+    otherwise [Domain.recommended_domain_count ()] — every core.  The
+    count includes the calling domain. *)
 
 val create : ?size:int -> unit -> t
-(** [create ~size ()] spawns [size] worker domains ([default_size ()] if
-    omitted).  [size <= 1] creates a sequential pool that spawns no
-    domains. *)
+(** [create ~size ()] gives [size]-way parallelism ([default_size ()] if
+    omitted): it spawns [size - 1] worker domains and the waiting caller
+    runs tasks too.  [size <= 1] creates a sequential pool that spawns
+    no domains. *)
 
 val size : t -> int
-(** Number of worker domains (0 for a sequential pool). *)
+(** Number of spawned worker domains (0 for a sequential pool). *)
 
 val parallelism : t -> int
-(** Degree of parallelism for reporting: [max 1 (size t)]. *)
+(** Degree of parallelism: [size t + 1], the workers plus the caller. *)
 
 val submit : t -> (unit -> 'a) -> 'a future
 (** Queue a task.  On a sequential pool the task runs immediately in the
@@ -49,8 +59,8 @@ val submit : t -> (unit -> 'a) -> 'a future
 
 val await : 'a future -> 'a
 (** Wait for a task's result.  Re-raises (with the original backtrace)
-    any exception the task raised.  Called from a pool worker it executes
-    other queued tasks while waiting. *)
+    any exception the task raised.  From any domain or thread, it
+    executes other queued tasks of the future's pool while waiting. *)
 
 val parallel_map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [parallel_map pool f xs] maps [f] over [xs] with one task per

@@ -29,6 +29,41 @@ let test_map_order_sequential () =
       Alcotest.(check (list int)) "order preserved" [ 4; 2; 3 ] ys)
 
 (* ------------------------------------------------------------------ *)
+(* the caller is one of the pool's domains                             *)
+(* ------------------------------------------------------------------ *)
+
+let test_size_counts_the_caller () =
+  with_pool 2 (fun pool ->
+      Alcotest.(check int) "size 2 spawns one worker domain" 1
+        (Putil.Pool.size pool);
+      Alcotest.(check int) "workers plus the caller" 2
+        (Putil.Pool.parallelism pool));
+  with_pool 1 (fun pool ->
+      Alcotest.(check int) "sequential parallelism" 1
+        (Putil.Pool.parallelism pool))
+
+(* Two tasks that each wait for the other to start can only both finish
+   if two domains run them at once: on a 2-way pool that means the one
+   worker and the awaiting caller.  Each task gives up at a deadline and
+   reports whether it saw its peer, so a caller that only blocks fails
+   the test instead of hanging it. *)
+let test_mutual_wait_two_way () =
+  with_pool 2 (fun pool ->
+      let started = Array.init 2 (fun _ -> Atomic.make false) in
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      let task i () =
+        Atomic.set started.(i) true;
+        let peer = started.(1 - i) in
+        while (not (Atomic.get peer)) && Unix.gettimeofday () < deadline do
+          Domain.cpu_relax ()
+        done;
+        Atomic.get peer
+      in
+      let saw = Putil.Pool.parallel_map pool (fun i -> task i ()) [ 0; 1 ] in
+      Alcotest.(check (list bool)) "each task saw the other running"
+        [ true; true ] saw)
+
+(* ------------------------------------------------------------------ *)
 (* exception capture and re-raise at await                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -65,8 +100,8 @@ let test_healthy_after_exception () =
 (* nested submission (the shape Sweeps.compute uses)                   *)
 (* ------------------------------------------------------------------ *)
 
-let test_nested_submit () =
-  with_pool 2 (fun pool ->
+let test_nested_submit size () =
+  with_pool size (fun pool ->
       let v =
         Putil.Pool.await
           (Putil.Pool.submit pool (fun () ->
@@ -78,8 +113,8 @@ let test_nested_submit () =
       in
       Alcotest.(check int) "nested awaits complete" 36 v)
 
-let test_nested_parallel_map () =
-  with_pool 3 (fun pool ->
+let test_nested_parallel_map size () =
+  with_pool size (fun pool ->
       let grid =
         Putil.Pool.parallel_map pool
           (fun a ->
@@ -93,8 +128,8 @@ let test_nested_parallel_map () =
         [ [ 0; 1; 2; 3 ]; [ 10; 11; 12; 13 ]; [ 20; 21; 22; 23 ] ]
         grid)
 
-let test_nested_exception () =
-  with_pool 2 (fun pool ->
+let test_nested_exception size () =
+  with_pool size (fun pool ->
       match
         Putil.Pool.await
           (Putil.Pool.submit pool (fun () ->
@@ -149,10 +184,11 @@ let render_sweep pool =
     (Experiments.Sweeps.per_benchmark s Workloads.Apps.CoMD)
     (Experiments.Sweeps.summary s)
 
-let test_sweep_determinism () =
+let test_sweep_determinism size () =
   let seq = with_pool 1 render_sweep in
-  let par = with_pool 4 render_sweep in
-  Alcotest.(check string) "figure output byte-identical at 1 and 4 domains"
+  let par = with_pool size render_sweep in
+  Alcotest.(check string)
+    (Printf.sprintf "figure output byte-identical at 1 and %d domains" size)
     seq par
 
 (* Warm-started sweeps are a pure performance device: every point of
@@ -200,17 +236,42 @@ let suite =
           (test_exception_map 1);
         Alcotest.test_case "pool healthy after failure" `Quick
           test_healthy_after_exception;
-        Alcotest.test_case "nested submit/await" `Quick test_nested_submit;
+        Alcotest.test_case "nested submit/await" `Quick
+          (test_nested_submit 2);
         Alcotest.test_case "nested parallel_map" `Quick
-          test_nested_parallel_map;
-        Alcotest.test_case "nested exception" `Quick test_nested_exception;
+          (test_nested_parallel_map 3);
+        Alcotest.test_case "nested exception" `Quick (test_nested_exception 2);
         Alcotest.test_case "POWERLIM_JOBS parsing" `Quick
           test_jobs_env_parsing;
+        Alcotest.test_case "size counts the caller" `Quick
+          test_size_counts_the_caller;
+        Alcotest.test_case "mutual wait on a 2-way pool" `Quick
+          test_mutual_wait_two_way;
+        Alcotest.test_case "exception re-raised (2-way)" `Quick
+          (test_exception_single 2);
+        Alcotest.test_case "earliest exception wins (2-way)" `Quick
+          (test_exception_map 2);
+        Alcotest.test_case "nested submit/await (sequential)" `Quick
+          (test_nested_submit 1);
+        Alcotest.test_case "nested submit/await (4 domains)" `Quick
+          (test_nested_submit 4);
+        Alcotest.test_case "nested parallel_map (sequential)" `Quick
+          (test_nested_parallel_map 1);
+        Alcotest.test_case "nested parallel_map (2-way)" `Quick
+          (test_nested_parallel_map 2);
+        Alcotest.test_case "nested parallel_map (4 domains)" `Quick
+          (test_nested_parallel_map 4);
+        Alcotest.test_case "nested exception (sequential)" `Quick
+          (test_nested_exception 1);
+        Alcotest.test_case "nested exception (4 domains)" `Quick
+          (test_nested_exception 4);
       ] );
     ( "parallel.sweeps",
       [
         Alcotest.test_case "POWERLIM_JOBS=1 vs 4 byte-identical" `Slow
-          test_sweep_determinism;
+          (test_sweep_determinism 4);
+        Alcotest.test_case "POWERLIM_JOBS=1 vs 2 byte-identical" `Slow
+          (test_sweep_determinism 2);
         Alcotest.test_case "warm vs cold byte-identical at 1 and 4 domains"
           `Slow test_sweep_warm_equals_cold;
       ] );

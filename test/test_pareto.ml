@@ -156,6 +156,73 @@ let prop_blend_at_least_as_fast =
       Pareto.Frontier.blend_duration blend
       <= down.Pareto.Point.duration +. 1e-9)
 
+(* Oracle: the quadratic definition of the frontier -- keep every point
+   no other point dominates, then sort by (power, duration) and drop
+   repeated pairs.  [Pareto.Frontier.pareto] must return the very same
+   points (physically), so the hulls built on it are unchanged. *)
+let oracle_pareto (pts : Pareto.Point.t array) =
+  let keep =
+    Array.to_list pts
+    |> List.filter (fun p ->
+           not
+             (Array.exists (fun q -> q != p && Pareto.Point.dominates q p) pts))
+  in
+  let sorted =
+    List.sort
+      (fun (a : Pareto.Point.t) b ->
+        match compare a.power b.power with
+        | 0 -> compare a.duration b.duration
+        | c -> c)
+      keep
+  in
+  let rec dedup = function
+    | (a : Pareto.Point.t) :: (b : Pareto.Point.t) :: rest ->
+        if
+          Float.abs (a.power -. b.power) < 1e-12
+          && Float.abs (a.duration -. b.duration) < 1e-12
+        then dedup (a :: rest)
+        else a :: dedup (b :: rest)
+    | l -> l
+  in
+  Array.of_list (dedup sorted)
+
+(* Tie-heavy point sets: coordinates from a handful of values (signed
+   zeros, infinity and NaN among them), so equal powers, equal durations
+   and exact duplicates are common. *)
+let arb_points =
+  let coords = [| 0.0; -0.0; 1.0; 1.5; 2.0; 3.0; 1e-13; Float.infinity; Float.nan |] in
+  let coord = QCheck.Gen.(map (fun i -> coords.(i)) (int_bound (Array.length coords - 1))) in
+  let point =
+    QCheck.Gen.(
+      map2
+        (fun power duration ->
+          { Pareto.Point.freq = 1.0; threads = 1; power; duration })
+        coord coord)
+  in
+  QCheck.make
+    ~print:(fun pts ->
+      String.concat "; "
+        (Array.to_list
+           (Array.map
+              (fun (p : Pareto.Point.t) -> Printf.sprintf "(%h, %h)" p.power p.duration)
+              pts)))
+    QCheck.Gen.(array_size (int_bound 40) point)
+
+let prop_pareto_matches_oracle =
+  QCheck.Test.make ~count:2000 ~name:"pareto = quadratic oracle" arb_points
+    (fun pts ->
+      let got = Pareto.Frontier.pareto pts and want = oracle_pareto pts in
+      Array.length got = Array.length want && Array.for_all2 ( == ) got want)
+
+let test_pareto_matches_oracle_on_enumeration () =
+  List.iter
+    (fun profile ->
+      let pts = Pareto.Frontier.enumerate sock profile in
+      Alcotest.(check bool) "same points as the oracle" true
+        (let got = Pareto.Frontier.pareto pts and want = oracle_pareto pts in
+         Array.length got = Array.length want && Array.for_all2 ( == ) got want))
+    [ comd_like; lulesh_like ]
+
 let suite =
   [
     ( "pareto",
@@ -170,5 +237,8 @@ let suite =
         Alcotest.test_case "interpolation" `Quick test_interpolate_between_endpoints;
         Alcotest.test_case "rounding" `Quick test_rounding;
         QCheck_alcotest.to_alcotest prop_blend_at_least_as_fast;
+        Alcotest.test_case "oracle on enumerated configurations" `Quick
+          test_pareto_matches_oracle_on_enumeration;
+        QCheck_alcotest.to_alcotest prop_pareto_matches_oracle;
       ] );
   ]

@@ -320,6 +320,48 @@ let test_daemon_refuses_malformed_under_client_id () =
                     | _ -> false)
               | _ -> Alcotest.fail "stats payload is not an object")))
 
+(* A client that keeps its connection open after the daemon is told to
+   shut down must not keep [Daemon.wait] from returning: stopping cuts
+   the receive side of every open connection.  [wait] runs on a thread
+   with a deadline, so a hang fails the test instead of stalling it. *)
+let test_daemon_stops_with_idle_client () =
+  let dir = mkdtemp () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let d =
+        Serve.Daemon.start
+          (Serve.Daemon.default_config
+             (Serve.Daemon.Unix_socket (Filename.concat dir "sock")))
+      in
+      let idle = Serve.Client.connect_retry (Serve.Daemon.address d) in
+      Fun.protect
+        ~finally:(fun () -> Serve.Client.close idle)
+        (fun () ->
+          (* one answered request: the idle connection's reader is up
+             and back in [input_line] *)
+          ignore
+            (Serve.Client.request idle (Serve.Json.of_string "{\"op\":\"stats\"}"));
+          let c = Serve.Client.connect_retry (Serve.Daemon.address d) in
+          ignore
+            (Serve.Client.request c (Serve.Json.of_string "{\"op\":\"shutdown\"}"));
+          let returned = Atomic.make false in
+          ignore
+            (Thread.create
+               (fun () ->
+                 Serve.Daemon.wait d;
+                 Atomic.set returned true)
+               ());
+          let deadline = Unix.gettimeofday () +. 10.0 in
+          while (not (Atomic.get returned)) && Unix.gettimeofday () < deadline do
+            Thread.delay 0.01
+          done;
+          Serve.Client.close c;
+          Alcotest.(check bool) "wait returned with a client still connected"
+            true (Atomic.get returned);
+          Alcotest.(check bool) "the idle client reads end of stream" true
+            (Serve.Client.recv idle = None)))
+
 let suite =
   [
     ( "serve.json",
@@ -348,5 +390,7 @@ let suite =
           test_daemon_byte_identity_and_tiers;
         Alcotest.test_case "malformed requests refused under client id"
           `Quick test_daemon_refuses_malformed_under_client_id;
+        Alcotest.test_case "stops with an idle client connected" `Quick
+          test_daemon_stops_with_idle_client;
       ] );
   ]
