@@ -362,7 +362,7 @@ let try_dw ?max_iter ?feas_tol ?opt_tol ~rhs ?analysis ?bands
   if nb < 2 || Array.length sp.mrows = 0 then None
   else begin
     let pool = Putil.Pool.get_default () in
-    let t_setup = Sys.time () in
+    let t_setup = Unix.gettimeofday () in
     (* per-block pricing state: problem, symbolic analysis, warm basis *)
     let bprobs =
       Array.init nb (fun k ->
@@ -370,7 +370,8 @@ let try_dw ?max_iter ?feas_tol ?opt_tol ~rhs ?analysis ?bands
     in
     let banals = Array.map Revised.make_analysis bprobs in
     Log.debug (fun m ->
-        m "setup: %d components in %.3fs" nb (Sys.time () -. t_setup));
+        m "setup: %d components in %.3fs" nb
+          (Unix.gettimeofday () -. t_setup));
     let bbases = Array.make nb None in
     let max_obj =
       Array.fold_left (fun m c -> Float.max m (Float.abs c)) 0.0 p.Model.obj
@@ -489,12 +490,13 @@ let try_dw ?max_iter ?feas_tol ?opt_tol ~rhs ?analysis ?bands
           | other -> other
         in
         Stats.note_dw_master ();
-        let t_m = Sys.time () in
+        let t_m = Unix.gettimeofday () in
         let mr =
           Revised.solve ?max_iter ?feas_tol ?opt_tol ?warm ~warm_primal:true mp
         in
         Log.debug (fun m ->
-            m "it %d: master %.3fs (%d cols)" it (Sys.time () -. t_m)
+            m "it %d: master %.3fs (%d cols)" it
+              (Unix.gettimeofday () -. t_m)
               mp.Model.nv);
         if mr.Revised.status <> Revised.Optimal then begin
           Log.debug (fun m ->
@@ -671,13 +673,14 @@ let try_dw ?max_iter ?feas_tol ?opt_tol ~rhs ?analysis ?bands
             && Float.abs (x_hat.(j) -. u) <= ptol *. (1.0 +. Float.abs u)
           then lb'.(j) <- u
         done;
-        let t_r = Sys.time () in
+        let t_r = Unix.gettimeofday () in
         let restricted =
           Revised.solve ?max_iter ?feas_tol ?opt_tol ~lb:lb' ~ub:ub' ~rhs
             ?analysis ?bands p
         in
         Log.debug (fun m ->
-            m "crossover: restricted %.3fs (%d pivots)" (Sys.time () -. t_r)
+            m "crossover: restricted %.3fs (%d pivots)"
+              (Unix.gettimeofday () -. t_r)
               restricted.Revised.iterations);
         match (restricted.Revised.status, restricted.Revised.basis) with
         | Revised.Optimal, Some rb ->
@@ -692,13 +695,14 @@ let try_dw ?max_iter ?feas_tol ?opt_tol ~rhs ?analysis ?bands
                 else if lb'.(j) = p.Model.lb.(j) then vstat.(j) <- 'l'
             done;
             let warm = { rb with Revised.vstat } in
-            let t_f = Sys.time () in
+            let t_f = Unix.gettimeofday () in
             let final =
               Revised.solve ?max_iter ?feas_tol ?opt_tol ~rhs ~warm ?analysis
                 ?bands p
             in
             Log.debug (fun m ->
-                m "crossover: certify %.3fs (%d pivots)" (Sys.time () -. t_f)
+                m "crossover: certify %.3fs (%d pivots)"
+                  (Unix.gettimeofday () -. t_f)
                   final.Revised.iterations);
             if final.Revised.status <> Revised.Optimal then None
             else if

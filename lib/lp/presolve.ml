@@ -11,6 +11,12 @@
       equality-tied vertex pairs (equation (13) rows);
     - {b empty columns}: moved to their best bound by objective sign.
 
+    Each pass costs O(nnz + rows + cols): the fixed-column and row scans
+    visit every column and row once, and the empty-column scan marks the
+    columns of the live rows in one sweep.  Eliminating a column costs,
+    on top, the lengths of the rows it sits in (its terms are filtered
+    out of each).
+
     The reduced problem is solved with {!Revised} and the solution mapped
     back to the original variable space. *)
 
@@ -142,12 +148,19 @@ let apply_scaling (p : Model.problem) (rs : float array) (cs : float array) :
     row_rhs = Array.mapi (fun i v -> v *. rs.(i)) p.Model.row_rhs;
   }
 
+let scale (p : Model.problem) =
+  if scale_enabled () && p.Model.nr > 0 && p.Model.nv > 0 then begin
+    let row_scale, col_scale = equilibrate p in
+    (apply_scaling p row_scale col_scale, row_scale, col_scale)
+  end
+  else (p, Array.make p.Model.nr 1.0, Array.make p.Model.nv 1.0)
+
 (* Tighten [lo, hi] with a new bound pair; returns None on conflict. *)
 let tighten (lo, hi) lo' hi' =
   let lo = max lo lo' and hi = min hi hi' in
   if lo > hi +. 1e-7 then None else Some (lo, min hi (max lo hi))
 
-let reduce (p : Model.problem) : outcome =
+let reduce_impl (p : Model.problem) : outcome =
   let nv = p.Model.nv and nr = p.Model.nr in
   let lo = Array.copy p.Model.lb and hi = Array.copy p.Model.ub in
   let obj = Array.copy p.Model.obj in
@@ -231,6 +244,7 @@ let reduce (p : Model.problem) : outcome =
     obj.(y) <- obj.(y) +. (obj.(x) *. scale);
     obj.(x) <- 0.0
   in
+  let present = Array.make nv false in
   let changed = ref true in
   while !changed && not !infeasible do
     changed := false;
@@ -288,16 +302,16 @@ let reduce (p : Model.problem) : outcome =
         | _ -> ()
       end
     done;
-    (* empty columns *)
+    (* empty columns: fixing one column only takes it out of its own
+       rows, so which columns still have a live term is read once *)
+    Array.fill present 0 nv false;
+    for i = 0 to nr - 1 do
+      if row_alive.(i) then
+        List.iter (fun (j, _) -> present.(j) <- true) rows.(i)
+    done;
     for j = 0 to nv - 1 do
       if (not (gone j)) && not p.Model.integer.(j) then begin
-        let still_present =
-          List.exists
-            (fun i ->
-              row_alive.(i) && List.exists (fun (j', _) -> j' = j) rows.(i))
-            col_rows.(j)
-        in
-        if not still_present then begin
+        if not present.(j) then begin
           let c = obj.(j) in
           let v =
             if c > 0.0 then lo.(j)
@@ -325,31 +339,34 @@ let reduce (p : Model.problem) : outcome =
     let kept_rows =
       Array.of_list (List.filter (fun i -> row_alive.(i)) (List.init nr Fun.id))
     in
-    let m = Model.create () in
-    Array.iter
-      (fun j ->
-        ignore
-          (Model.add_var m ~lb:lo.(j) ~ub:hi.(j) ~obj:obj.(j)
-             ~integer:p.Model.integer.(j) p.Model.var_names.(j)))
-      keep_vars;
-    Array.iter
-      (fun i ->
-        let terms = List.map (fun (j, c) -> (c, new_index.(j))) rows.(i) in
-        Model.add_constr m ~name:p.Model.row_names.(i) terms
-          p.Model.row_sense.(i) rhs.(i))
+    (* Freeze the reduced problem directly, as [Model.compile] would:
+       building it through [Model]'s lists costs more than the whole
+       fixpoint on the event LP. *)
+    let coo = Sparse.Coo.create () in
+    Array.iteri
+      (fun r i ->
+        List.iter (fun (j, c) -> Sparse.Coo.add coo r new_index.(j) c) rows.(i))
       kept_rows;
-    let problem = Model.compile m in
-    let scale =
-      scale_enabled () && problem.Model.nr > 0 && problem.Model.nv > 0
-    in
-    let row_scale, col_scale =
-      if scale then equilibrate problem
-      else
-        (Array.make problem.Model.nr 1.0, Array.make problem.Model.nv 1.0)
-    in
+    let nkv = Array.length keep_vars and nkr = Array.length kept_rows in
+    let a = Sparse.Csc.of_coo ~nrows:nkr ~ncols:nkv coo in
+    let on_vars f = Array.map f keep_vars
+    and on_rows f = Array.map f kept_rows in
     let problem =
-      if scale then apply_scaling problem row_scale col_scale else problem
+      {
+        Model.nv = nkv;
+        nr = nkr;
+        a;
+        lb = on_vars (fun j -> lo.(j));
+        ub = on_vars (fun j -> hi.(j));
+        obj = on_vars (fun j -> obj.(j));
+        integer = on_vars (fun j -> p.Model.integer.(j));
+        var_names = on_vars (fun j -> p.Model.var_names.(j));
+        row_sense = on_rows (fun i -> p.Model.row_sense.(i));
+        row_rhs = on_rows (fun i -> rhs.(i));
+        row_names = on_rows (fun i -> p.Model.row_names.(i));
+      }
     in
+    let problem, row_scale, col_scale = scale problem in
     Reduced
       {
         problem;
@@ -363,6 +380,16 @@ let reduce (p : Model.problem) : outcome =
         col_scale;
       }
   end
+
+(** Presolve [p] to fixpoint, then equilibrate the reduced problem. *)
+let reduce (p : Model.problem) : outcome =
+  Putil.Obs.span ~cat:"lp"
+    ~args:
+      [
+        ("rows", string_of_int p.Model.nr); ("cols", string_of_int p.Model.nv);
+      ]
+    "presolve.reduce"
+    (fun () -> reduce_impl p)
 
 (** Map a reduced-space solution back to the original variables.  [x] is
     in the {e scaled} reduced space (as returned by solving

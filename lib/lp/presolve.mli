@@ -32,6 +32,15 @@ type reduction = {
 type outcome = Reduced of reduction | Proven_infeasible
 
 val reduce : Model.problem -> outcome
+(** Presolve to fixpoint, then {!scale} the reduced problem.  Each pass
+    of the fixpoint costs O(nnz + rows + cols), plus, for each column it
+    eliminates, the lengths of the rows that column sits in. *)
+
+val scale : Model.problem -> Model.problem * float array * float array
+(** [scale p] is [(p', row_scale, col_scale)]: [p] equilibrated the way
+    {!reduce} equilibrates the problem it returns, with the factors of
+    {!reduction} ([p] itself and all-1.0 factors when
+    [POWERLIM_SCALE=0] or [p] is empty). *)
 
 val restore : reduction -> float array -> float array
 (** Map a reduced-space solution back to the original variables.  The

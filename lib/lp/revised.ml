@@ -301,7 +301,7 @@ let solve_impl ?(max_iter = 0) ?(feas_tol = 1e-7) ?(opt_tol = 1e-7) ?lb ?ub
       and t_ratio = ref 0.0
       and lu_nnz_total = ref 0
       and n_factor = ref 0 in
-      let clock () = if stats_on then Sys.time () else 0.0 in
+      let clock () = if stats_on then Unix.gettimeofday () else 0.0 in
       (* Staircase bands: the caller supplies per-structural-column and
          per-row stage indices; each factorization maps them onto the
          current basis (slacks and artificials inherit their row's

@@ -26,7 +26,8 @@
     triggers refactorization.  [LP_PARANOID] enables expensive per-pivot
     invariant checks (each pivot verified against a fresh factorization);
     [LP_DUMP_BASIS=<path>] dumps the first offending basis;
-    [LP_STATS] prints a per-solve phase-time breakdown to stderr.
+    [LP_STATS] prints a per-solve breakdown of wall-clock phase times to
+    stderr.
     Aggregate counters (cold/warm solves, primal/dual pivots, kernel
     sparse/dense splits, wall time) are accumulated in {!Stats}. *)
 

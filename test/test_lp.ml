@@ -711,6 +711,392 @@ let prop_presolve_equivalent =
           QCheck.Test.fail_reportf "status mismatch: %a vs %a"
             Lp.Revised.pp_status a Lp.Revised.pp_status b)
 
+(* Oracle: the presolve fixpoint as first written, with the quadratic
+   empty-column scan (every column searched its rows' term lists) and
+   the reduced problem rebuilt through [Lp.Model.compile]; only the
+   equilibration ([Lp.Presolve.scale]) is shared.  The linear
+   [Lp.Presolve.reduce] must produce the same reduction bit for bit. *)
+let oracle_reduce (p : Lp.Model.problem) : Lp.Presolve.outcome =
+  let open Lp.Presolve in
+  let tol = 1e-9 in
+  let tighten (lo, hi) lo' hi' =
+    let lo = max lo lo' and hi = min hi hi' in
+    if lo > hi +. 1e-7 then None else Some (lo, min hi (max lo hi))
+  in
+  let nv = p.Lp.Model.nv and nr = p.Lp.Model.nr in
+  let lo = Array.copy p.Lp.Model.lb and hi = Array.copy p.Lp.Model.ub in
+  let obj = Array.copy p.Lp.Model.obj in
+  let row_alive = Array.make nr true in
+  let infeasible = ref false in
+  let rows : (int * float) list array = Array.make nr [] in
+  let col_rows : int list array = Array.make nv [] in
+  for j = 0 to nv - 1 do
+    Lp.Sparse.Csc.iter_col p.Lp.Model.a j (fun i v ->
+        rows.(i) <- (j, v) :: rows.(i);
+        col_rows.(j) <- i :: col_rows.(j))
+  done;
+  let rhs = Array.copy p.Lp.Model.row_rhs in
+  let state = Array.make nv Kept in
+  let subst_order = ref [] in
+  let gone j = state.(j) <> Kept in
+  let take_out i j =
+    let coeff = ref 0.0 in
+    rows.(i) <-
+      List.filter
+        (fun (j', c) ->
+          if j' = j then begin
+            coeff := !coeff +. c;
+            false
+          end
+          else true)
+        rows.(i);
+    !coeff
+  in
+  let merge_term i j c =
+    if c <> 0.0 then begin
+      let existing = take_out i j in
+      let c = c +. existing in
+      if Float.abs c > 1e-13 then begin
+        rows.(i) <- (j, c) :: rows.(i);
+        if not (List.mem i col_rows.(j)) then col_rows.(j) <- i :: col_rows.(j)
+      end
+    end
+  in
+  let fix j v =
+    if not (gone j) then begin
+      state.(j) <- Fixed v;
+      List.iter
+        (fun i ->
+          if row_alive.(i) then begin
+            let coeff = take_out i j in
+            rhs.(i) <- rhs.(i) -. (coeff *. v)
+          end)
+        col_rows.(j)
+    end
+  in
+  let substitute x ~y ~scale ~offset =
+    state.(x) <- Subst { of_var = y; scale; offset };
+    subst_order := x :: !subst_order;
+    let bl, bh =
+      if scale > 0.0 then
+        ((lo.(x) -. offset) /. scale, (hi.(x) -. offset) /. scale)
+      else ((hi.(x) -. offset) /. scale, (lo.(x) -. offset) /. scale)
+    in
+    (match tighten (lo.(y), hi.(y)) bl bh with
+    | None -> infeasible := true
+    | Some (l, h) ->
+        lo.(y) <- l;
+        hi.(y) <- h);
+    List.iter
+      (fun i ->
+        if row_alive.(i) then begin
+          let coeff = take_out i x in
+          if coeff <> 0.0 then begin
+            rhs.(i) <- rhs.(i) -. (coeff *. offset);
+            merge_term i y (coeff *. scale)
+          end
+        end)
+      col_rows.(x);
+    obj.(y) <- obj.(y) +. (obj.(x) *. scale);
+    obj.(x) <- 0.0
+  in
+  let changed = ref true in
+  while !changed && not !infeasible do
+    changed := false;
+    for j = 0 to nv - 1 do
+      if (not (gone j)) && hi.(j) -. lo.(j) <= tol then begin
+        fix j lo.(j);
+        changed := true
+      end
+    done;
+    for i = 0 to nr - 1 do
+      if row_alive.(i) && not !infeasible then begin
+        match rows.(i) with
+        | [] ->
+            let ok =
+              match p.Lp.Model.row_sense.(i) with
+              | Lp.Model.Le -> rhs.(i) >= -.1e-7
+              | Lp.Model.Ge -> rhs.(i) <= 1e-7
+              | Lp.Model.Eq -> Float.abs rhs.(i) <= 1e-7
+            in
+            if not ok then infeasible := true;
+            row_alive.(i) <- false;
+            changed := true
+        | [ (j, c) ] when not (gone j) ->
+            let b = rhs.(i) /. c in
+            let bounds =
+              match (p.Lp.Model.row_sense.(i), c > 0.0) with
+              | Lp.Model.Le, true | Lp.Model.Ge, false ->
+                  (Float.neg_infinity, b)
+              | Lp.Model.Ge, true | Lp.Model.Le, false -> (b, Float.infinity)
+              | Lp.Model.Eq, _ -> (b, b)
+            in
+            (match tighten (lo.(j), hi.(j)) (fst bounds) (snd bounds) with
+            | None -> infeasible := true
+            | Some (l, h) ->
+                lo.(j) <- l;
+                hi.(j) <- h);
+            row_alive.(i) <- false;
+            changed := true
+        | [ (x, a); (y, b) ]
+          when p.Lp.Model.row_sense.(i) = Lp.Model.Eq
+               && (not (gone x))
+               && (not (gone y))
+               && (not p.Lp.Model.integer.(x))
+               && not p.Lp.Model.integer.(y) ->
+            let x, a, y, b =
+              if Float.abs a >= Float.abs b then (x, a, y, b) else (y, b, x, a)
+            in
+            if Float.abs a > 1e-9 then begin
+              row_alive.(i) <- false;
+              substitute x ~y ~scale:(-.b /. a) ~offset:(rhs.(i) /. a);
+              changed := true
+            end
+        | _ -> ()
+      end
+    done;
+    for j = 0 to nv - 1 do
+      if (not (gone j)) && not p.Lp.Model.integer.(j) then begin
+        let still_present =
+          List.exists
+            (fun i ->
+              row_alive.(i) && List.exists (fun (j', _) -> j' = j) rows.(i))
+            col_rows.(j)
+        in
+        if not still_present then begin
+          let c = obj.(j) in
+          let v =
+            if c > 0.0 then lo.(j)
+            else if c < 0.0 then hi.(j)
+            else if Float.is_finite lo.(j) then lo.(j)
+            else min hi.(j) 0.0
+          in
+          if Float.is_finite v then begin
+            fix j v;
+            changed := true
+          end
+        end
+      end
+    done
+  done;
+  if !infeasible then Proven_infeasible
+  else begin
+    let keep_vars =
+      Array.of_list
+        (List.filter (fun j -> state.(j) = Kept) (List.init nv Fun.id))
+    in
+    let new_index = Array.make nv (-1) in
+    Array.iteri (fun k j -> new_index.(j) <- k) keep_vars;
+    let kept_rows =
+      Array.of_list (List.filter (fun i -> row_alive.(i)) (List.init nr Fun.id))
+    in
+    let m = Lp.Model.create () in
+    Array.iter
+      (fun j ->
+        ignore
+          (Lp.Model.add_var m ~lb:lo.(j) ~ub:hi.(j) ~obj:obj.(j)
+             ~integer:p.Lp.Model.integer.(j) p.Lp.Model.var_names.(j)))
+      keep_vars;
+    Array.iter
+      (fun i ->
+        let terms = List.map (fun (j, c) -> (c, new_index.(j))) rows.(i) in
+        Lp.Model.add_constr m ~name:p.Lp.Model.row_names.(i) terms
+          p.Lp.Model.row_sense.(i) rhs.(i))
+      kept_rows;
+    let problem, row_scale, col_scale = scale (Lp.Model.compile m) in
+    Reduced
+      {
+        problem;
+        keep_vars;
+        state;
+        kept_rows;
+        dropped_rows = nr - Array.length kept_rows;
+        dropped_cols = nv - Array.length keep_vars;
+        subst_order = List.rev !subst_order;
+        row_scale;
+        col_scale;
+      }
+  end
+
+(* Bitwise equality: [=] would equate 0.0 with -0.0 and fail on NaN. *)
+let same_bits a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_floats a b =
+  Array.length a = Array.length b && Array.for_all2 same_bits a b
+
+let same_vstate (a : Lp.Presolve.vstate) (b : Lp.Presolve.vstate) =
+  match (a, b) with
+  | Kept, Kept -> true
+  | Fixed u, Fixed v -> same_bits u v
+  | Subst s, Subst t ->
+      s.of_var = t.of_var && same_bits s.scale t.scale
+      && same_bits s.offset t.offset
+  | _ -> false
+
+(* Every field of the two outcomes, every float compared by its bits;
+   [None] when they agree, else the name of the first field that differs. *)
+let reduction_diff (a : Lp.Presolve.outcome) (b : Lp.Presolve.outcome) =
+  match (a, b) with
+  | Proven_infeasible, Proven_infeasible -> None
+  | Reduced r, Reduced s ->
+      let p = r.problem and q = s.problem in
+      let pa = p.Lp.Model.a and qa = q.Lp.Model.a in
+      List.find_map
+        (fun (name, ok) -> if ok then None else Some name)
+        [
+          ("keep_vars", r.keep_vars = s.keep_vars);
+          ("kept_rows", r.kept_rows = s.kept_rows);
+          ( "state",
+            Array.length r.state = Array.length s.state
+            && Array.for_all2 same_vstate r.state s.state );
+          ("subst_order", r.subst_order = s.subst_order);
+          ("dropped_rows", r.dropped_rows = s.dropped_rows);
+          ("dropped_cols", r.dropped_cols = s.dropped_cols);
+          ("row_scale", same_floats r.row_scale s.row_scale);
+          ("col_scale", same_floats r.col_scale s.col_scale);
+          ("nv", p.Lp.Model.nv = q.Lp.Model.nv);
+          ("nr", p.Lp.Model.nr = q.Lp.Model.nr);
+          ( "shape",
+            pa.Lp.Sparse.Csc.nrows = qa.Lp.Sparse.Csc.nrows
+            && pa.Lp.Sparse.Csc.ncols = qa.Lp.Sparse.Csc.ncols );
+          ("colptr", pa.Lp.Sparse.Csc.colptr = qa.Lp.Sparse.Csc.colptr);
+          ("rowind", pa.Lp.Sparse.Csc.rowind = qa.Lp.Sparse.Csc.rowind);
+          ( "values",
+            same_floats pa.Lp.Sparse.Csc.values qa.Lp.Sparse.Csc.values );
+          ("lb", same_floats p.Lp.Model.lb q.Lp.Model.lb);
+          ("ub", same_floats p.Lp.Model.ub q.Lp.Model.ub);
+          ("obj", same_floats p.Lp.Model.obj q.Lp.Model.obj);
+          ("row_sense", p.Lp.Model.row_sense = q.Lp.Model.row_sense);
+          ("row_rhs", same_floats p.Lp.Model.row_rhs q.Lp.Model.row_rhs);
+          ("integer", p.Lp.Model.integer = q.Lp.Model.integer);
+          ("var_names", p.Lp.Model.var_names = q.Lp.Model.var_names);
+          ("row_names", p.Lp.Model.row_names = q.Lp.Model.row_names);
+        ]
+  | Proven_infeasible, Reduced _ -> Some "outcome (infeasible vs reduced)"
+  | Reduced _, Proven_infeasible -> Some "outcome (reduced vs infeasible)"
+
+(* Small sparse models built to hit every reduction: bounds that fix a
+   column, empty, singleton and doubleton-equality rows, coefficients of
+   equal magnitude so substitutions cancel terms, repeated terms that
+   [Model.compile] sums (sometimes to zero), integer columns, infinite
+   bounds, signed zeros, and the odd dense row.  Most right-hand sides
+   are taken at an integer point inside the bounds, so most models
+   survive to the end of the fixpoint; the rest are random and often
+   infeasible. *)
+let random_presolve_model rng =
+  let open QCheck.Gen in
+  let nv = 1 + int_bound 9 rng and nr = int_bound 9 rng in
+  let m = Lp.Model.create () in
+  let small () =
+    match int_range (-4) 4 rng with
+    | 0 when bool rng -> -0.0
+    | k -> float_of_int k
+  in
+  let at = Array.make nv 0.0 in
+  let vars =
+    Array.init nv (fun j ->
+        let lb, ub =
+          match int_bound 5 rng with
+          | 0 ->
+              let v = small () in
+              (v, v)
+          | 1 -> (Float.neg_infinity, Float.infinity)
+          | 2 -> (Float.neg_infinity, small ())
+          | 3 -> (0.0, Float.infinity)
+          | _ ->
+              let l = small () in
+              (l, l +. float_of_int (1 + int_bound 6 rng))
+        in
+        at.(j) <-
+          (if Float.is_finite lb then lb +. float_of_int (int_bound 2 rng)
+           else if Float.is_finite ub then
+             ub -. float_of_int (int_bound 2 rng)
+           else small ());
+        if at.(j) > ub then at.(j) <- ub;
+        let obj = if bool rng then small () else float_range (-3.0) 3.0 rng in
+        Lp.Model.add_var m ~lb ~ub ~obj ~integer:(int_bound 9 rng = 0)
+          (Printf.sprintf "x%d" j))
+  in
+  let coeff () =
+    match int_bound 4 rng with
+    | 0 -> 1.0
+    | 1 -> -1.0
+    | 2 -> 2.0
+    | 3 -> -0.5
+    | _ -> float_range (-3.0) 3.0 rng
+  in
+  for _ = 1 to nr do
+    let len =
+      match int_bound 9 rng with
+      | 0 -> 0
+      | 1 | 2 -> 1
+      | 3 | 4 | 5 -> 2
+      | 6 -> nv + 2
+      | _ -> 3 + int_bound 2 rng
+    in
+    let terms =
+      List.init len (fun _ -> (coeff (), int_bound (nv - 1) rng))
+    in
+    let sense, slack =
+      match int_bound 3 rng with
+      | 0 -> (Lp.Model.Le, float_of_int (int_bound 3 rng))
+      | 1 -> (Lp.Model.Ge, -.float_of_int (int_bound 3 rng))
+      | _ -> (Lp.Model.Eq, if bool rng then 0.0 else -0.0)
+    in
+    let rhs =
+      if int_bound 7 rng = 0 then small ()
+      else List.fold_left (fun s (c, j) -> s +. (c *. at.(j))) slack terms
+    in
+    Lp.Model.add_constr m
+      (List.map (fun (c, j) -> (c, vars.(j))) terms)
+      sense rhs
+  done;
+  Lp.Model.compile m
+
+let prop_presolve_matches_oracle =
+  QCheck.Test.make ~count:1000 ~name:"reduce = quadratic oracle, bit for bit"
+    QCheck.(make (fun rng -> random_presolve_model rng))
+    (fun p ->
+      match reduction_diff (Lp.Presolve.reduce p) (oracle_reduce p) with
+      | None -> true
+      | Some field ->
+          QCheck.Test.fail_reportf "reductions differ in %s" field)
+
+(* x1 - x0 = 0 eliminates x1 onto x0 (equal magnitudes: the first term
+   of the row list, the higher column, goes).  In the live row
+   x1 - x0 + x2 + x3 <= 5 the substitution adds +1 to x0's -1: the term
+   cancels and is dropped, yet that row still lists x0 as one of its
+   columns.  x0 has no live term left, so the empty-column pass must fix
+   it (at its lower bound, since its objective is positive). *)
+let test_presolve_cancelled_term () =
+  let m = Lp.Model.create () in
+  let x0 = Lp.Model.add_var m ~lb:1.0 ~ub:4.0 ~obj:1.0 "x0" in
+  let x1 = Lp.Model.add_var m ~lb:0.0 ~ub:3.0 "x1" in
+  let x2 = Lp.Model.add_var m ~ub:9.0 ~obj:(-1.0) "x2" in
+  let x3 = Lp.Model.add_var m ~ub:9.0 ~obj:(-1.0) "x3" in
+  Lp.Model.add_constr m [ (1.0, x1); (-1.0, x0) ] Lp.Model.Eq 0.0;
+  Lp.Model.add_constr m
+    [ (1.0, x1); (-1.0, x0); (1.0, x2); (1.0, x3) ]
+    Lp.Model.Le 5.0;
+  let p = Lp.Model.compile m in
+  let got = Lp.Presolve.reduce p in
+  (match got with
+  | Lp.Presolve.Reduced r ->
+      Alcotest.(check bool) "x1 substituted onto x0" true
+        (match r.Lp.Presolve.state.(x1) with
+        | Lp.Presolve.Subst { of_var; _ } -> of_var = x0
+        | _ -> false);
+      Alcotest.(check bool) "x0 fixed at its lower bound" true
+        (match r.Lp.Presolve.state.(x0) with
+        | Lp.Presolve.Fixed v -> v = 1.0
+        | _ -> false);
+      Alcotest.(check (array int)) "x2 + x3 <= 5 survives" [| 1 |]
+        r.Lp.Presolve.kept_rows
+  | Lp.Presolve.Proven_infeasible -> Alcotest.fail "not infeasible");
+  Alcotest.(check (option string)) "same as the oracle" None
+    (reduction_diff got (oracle_reduce p))
+
 (* ------------------------------------------------------------------ *)
 (* MILP                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -2075,6 +2461,9 @@ let suite =
         Alcotest.test_case "doubleton chain" `Quick test_presolve_doubleton_chain;
         Alcotest.test_case "doubleton bounds" `Quick test_presolve_doubleton_bound_transfer;
         QCheck_alcotest.to_alcotest prop_presolve_equivalent;
+        QCheck_alcotest.to_alcotest prop_presolve_matches_oracle;
+        Alcotest.test_case "cancelled term leaves an empty column" `Quick
+          test_presolve_cancelled_term;
         QCheck_alcotest.to_alcotest prop_scaling_roundtrip;
       ] );
     ( "lp.milp",

@@ -331,6 +331,29 @@ let test_traced_result_unchanged () =
   let on = with_tracing work in
   Alcotest.(check (float 0.0)) "identical makespan traced vs not" off on
 
+(* Presolve runs before and outside every simplex span; its own span
+   names that set-up cost in a trace. *)
+let test_presolve_span () =
+  let m = Lp.Model.create () in
+  let x = Lp.Model.add_var m ~lb:2.0 ~ub:2.0 "x" in
+  let y = Lp.Model.add_var m ~obj:1.0 "y" in
+  Lp.Model.add_constr m [ (1.0, y); (-1.0, x) ] Lp.Model.Ge 0.0;
+  let p = Lp.Model.compile m in
+  with_tracing (fun () ->
+      ignore (Lp.Presolve.reduce p);
+      let evs = Putil.Obs.events () in
+      check_balanced evs;
+      match evs with
+      | [ b; e ] ->
+          Alcotest.(check (list string))
+            "names" [ "presolve.reduce"; "presolve.reduce" ] [ b.name; e.name ];
+          Alcotest.(check string) "category" "lp" b.cat;
+          Alcotest.(check (list (pair string string)))
+            "size of the input" [ ("rows", "1"); ("cols", "2") ] b.args
+      | _ ->
+          Alcotest.failf "expected one B/E pair, got %d events"
+            (List.length evs))
+
 let suite =
   [
     ( "util.obs",
@@ -350,5 +373,6 @@ let suite =
         Alcotest.test_case "pool counters" `Quick test_pool_counters;
         Alcotest.test_case "traced result unchanged" `Quick
           test_traced_result_unchanged;
+        Alcotest.test_case "presolve span" `Quick test_presolve_span;
       ] );
   ]
